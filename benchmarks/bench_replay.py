@@ -83,7 +83,7 @@ def test_replay_generated_spec_scale(benchmark):
     text = generate_text(GenConfig(behaviors=GEN_BEHAVIORS, seed=1))
     gen_seconds = time.perf_counter() - t0
 
-    server, thread = start_server(batch_window=0.0)
+    server, thread = start_server()
     try:
         conn = http.client.HTTPConnection(server.host, server.port, timeout=300)
         try:

@@ -11,14 +11,13 @@ throughput against a warm-cache server vs a cold server
 would get from a naive stateless wrapper) and asserts the cache buys
 at least the acceptance criterion's 10x.
 
-Batching is disabled on both servers (``batch_window=0``) so the
-sequential measurement isolates the cache effect — the 2 ms default
-coalescing window would otherwise dominate warm-request latency.
+The requests are sequential, so batching never groups two of them:
+each computes at once, and the measurement isolates the cache effect.
 
 A second bench measures the kernel-backed micro-batching path: a burst
-of concurrent estimate requests with *different* frequency modes lands
-inside one batch window, and the server's grouped batcher hands the
-whole window to a single ``estimate_many`` kernel sweep instead of one
+of concurrent estimate requests with *different* frequency modes queues
+behind the first one to compute, and the server's grouped batcher hands
+what queued to a single ``estimate_many`` kernel sweep instead of one
 estimator pass per request.
 """
 
@@ -40,9 +39,7 @@ BODY = b'{"spec": "%s"}' % SPEC.encode()
 
 
 def start_server(cache_size):
-    server = SlifServer(
-        ServerConfig(port=0, cache_size=cache_size, batch_window=0.0)
-    )
+    server = SlifServer(ServerConfig(port=0, cache_size=cache_size))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server, thread
@@ -116,19 +113,18 @@ def test_warm_cache_at_least_10x_cold_throughput(benchmark):
 
 
 def test_grouped_batching_one_kernel_sweep(benchmark):
-    """A window of mixed-mode requests is scored by one kernel sweep.
+    """A burst of mixed-mode requests is scored in few kernel sweeps.
 
     Six concurrent clients ask for the same spec under every
-    (mode, concurrent) combination.  With a generous batch window they
-    all land in one grouped batch: a single leader calls
-    ``estimate_many`` — one ``BatchKernel.reports`` array sweep — and
-    the other five coalesce onto its results.  The bench reports the
+    (mode, concurrent) combination.  The first to arrive computes at
+    once; those that arrive while it computes queue into one grouped
+    batch, whose leader calls ``estimate_many`` — one
+    ``BatchKernel.reports`` array sweep — while the others coalesce onto
+    its results.  The bench reports the
     burst latency and the leader/coalesced counters from ``/v1/stats``,
     and checks each client got exactly its own mode's answer.
     """
-    server = SlifServer(
-        ServerConfig(port=0, cache_size=32, batch_window=0.05)
-    )
+    server = SlifServer(ServerConfig(port=0, cache_size=32))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     combos = [
@@ -205,7 +201,8 @@ def test_grouped_batching_one_kernel_sweep(benchmark):
     coalesced = after["coalesced"] - before["coalesced"]
     assert leaders + coalesced == len(combos)
     # The burst must coalesce: strictly fewer evaluation passes than
-    # requests (one pass when the whole burst lands in a single window).
+    # requests (two when everything after the first request queues
+    # behind it).
     assert leaders < len(combos), (
         f"expected coalescing across the burst, got {leaders} leaders "
         f"for {len(combos)} requests"

@@ -101,7 +101,7 @@ def estimate_many(
     Requests sharing one graph (same ``session``, or specs resolving to
     the same build) are evaluated together through a single
     :meth:`~repro.estimate.kernel.BatchKernel.reports` array sweep —
-    this is what the server's micro-batcher hands a whole window of
+    this is what the server's micro-batcher hands a whole batch of
     queued estimate requests to.  Any request the kernel abstains from
     (and every request when the kernel is unavailable) falls back to a
     plain :func:`estimate` call, so results are always exactly what N

@@ -25,8 +25,9 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
+from repro.api.frontends import FRONTENDS, ResolvedSpec
 from repro.core.channels import FreqMode
 from repro.core.graph import Slif
 from repro.core.partition import Partition, single_bus_partition
@@ -116,14 +117,18 @@ def resolve_spec(spec: str) -> Tuple[str, str, Optional[object]]:
     either.  Anything else is a :class:`SlifError` naming the
     registered front ends.
     """
-    from repro.api.frontends import FRONTENDS
-
     resolved = FRONTENDS.resolve(spec)
     return resolved.source, resolved.name, resolved.profile
 
 
+def _resolved(spec: Union[str, ResolvedSpec]) -> ResolvedSpec:
+    if isinstance(spec, ResolvedSpec):
+        return spec
+    return FRONTENDS.resolve(spec)
+
+
 def session_key(
-    spec: str,
+    spec: Union[str, ResolvedSpec],
     *,
     processor_name: str = "CPU",
     asic_name: str = "HW",
@@ -136,12 +141,12 @@ def session_key(
     graph cache can serve both from one parsed+annotated session.  For
     structured formats (``slif-synth``) the hashed source is the
     canonical JSON encoding of the payload, so generated specs are
-    content-addressed regardless of whitespace or key order.
+    content-addressed regardless of whitespace or key order.  ``spec``
+    may also be an already resolved
+    :class:`~repro.api.frontends.ResolvedSpec`, which is hashed as is.
     """
-    from repro.api.frontends import FRONTENDS
-
     return _key_from_resolved(
-        FRONTENDS.resolve(spec),
+        _resolved(spec),
         processor_name=processor_name,
         asic_name=asic_name,
         bus_bitwidth=bus_bitwidth,
@@ -149,7 +154,7 @@ def session_key(
 
 
 def _key_from_resolved(
-    resolved,
+    resolved: ResolvedSpec,
     *,
     processor_name: str = "CPU",
     asic_name: str = "HW",
@@ -170,7 +175,6 @@ def _build_from_resolved(
     bus_bitwidth: int = 16,
 ) -> DesignSystem:
     """Parse, annotate, allocate and initial-partition one resolved spec."""
-    from repro.api.frontends import FRONTENDS
     from repro.core.components import Bus, Processor
     from repro.obs import span
     from repro.synth.techlib import default_library
@@ -210,8 +214,6 @@ def build_system(
     system bus; all behaviors start on the processor and are then free
     to be repartitioned.
     """
-    from repro.api.frontends import FRONTENDS
-
     return _build_from_resolved(
         FRONTENDS.resolve(spec),
         processor_name=processor_name,
@@ -274,7 +276,7 @@ class Session:
         kernel is unavailable (disabled via ``SLIF_KERNEL=off``, or the
         graph has a call cycle), in which case callers stay on the
         memoized estimators.  This is what lets the serving layer score
-        a whole micro-batch window of estimate requests in one flat-array
+        a whole micro-batch of estimate requests in one flat-array
         sweep.
         """
         from repro.estimate.kernel import BatchKernel, KernelUnavailable
@@ -289,7 +291,7 @@ class Session:
 
 
 def load(
-    spec: str,
+    spec: Union[str, ResolvedSpec],
     *,
     processor_name: str = "CPU",
     asic_name: str = "HW",
@@ -300,7 +302,9 @@ def load(
     The facade's entry point for everything: resolve the spec through
     the front-end registry (bundled name, VHDL text, ``slif-synth``
     JSON, or a path), build the annotated system once, and hand back a
-    session whose estimators are memoized across calls.
+    session whose estimators are memoized across calls.  ``spec`` may
+    also be an already resolved
+    :class:`~repro.api.frontends.ResolvedSpec`, which is built as is.
 
     >>> from repro import api
     >>> session = api.load("vol")
@@ -309,10 +313,9 @@ def load(
     >>> len(session.key)
     24
     """
-    from repro.api.frontends import FRONTENDS
     from repro.obs import OBS, span
 
-    resolved = FRONTENDS.resolve(spec)
+    resolved = _resolved(spec)
     key = _key_from_resolved(
         resolved,
         processor_name=processor_name,

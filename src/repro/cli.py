@@ -374,7 +374,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache_size=args.cache_size,
         max_inflight=args.max_inflight,
-        batch_window=args.batch_window,
         drain_timeout=args.drain_timeout,
         quiet=not args.verbose,
         fleet_heartbeat=args.fleet_heartbeat,
@@ -974,14 +973,6 @@ def make_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="concurrent heavy requests (partition/simulate/explore) "
         "before the server answers 429 with Retry-After",
-    )
-    p.add_argument(
-        "--batch-window",
-        type=float,
-        default=0.002,
-        metavar="S",
-        help="seconds identical estimate requests are coalesced into "
-        "one evaluation (0 disables micro-batching)",
     )
     p.add_argument(
         "--drain-timeout",

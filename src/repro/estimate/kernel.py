@@ -720,7 +720,7 @@ class BatchKernel:
         """Full :class:`~repro.estimate.engine.EstimateReport` per item.
 
         ``items`` are ``(partition, mode, concurrent)`` triples — one
-        window of queued estimate requests becomes one kernel call.
+        batch of queued estimate requests becomes one kernel call.
         Unsupported items come back ``None`` (incomplete partition,
         missing weight, zero-time bitrate source, call cycle reached)
         and the caller re-runs them through the reference

@@ -31,7 +31,8 @@ Design:
 * **Hot path.**  ``/v1/estimate`` goes through the LRU
   :class:`~repro.serve.cache.GraphCache` (parse + annotate once per
   content hash) and the :class:`~repro.serve.batching.MicroBatcher`
-  (identical concurrent requests evaluate once).
+  (requests that queue behind a running estimate of the same graph are
+  scored together in one batch; identical ones evaluate once).
 * **Heavy path.**  ``/v1/partition``, ``/v1/simulate`` and
   ``/v1/explore`` dispatch onto the fault-tolerant exploration engine
   under a bounded in-flight counter; when ``--max-inflight`` requests
@@ -103,6 +104,12 @@ from repro.serve.jobs import (
 from repro.serve.store import JobStore
 
 
+#: Largest request body the server reads.  A longer declared
+#: ``Content-Length`` is answered 413 without reading the body (a
+#: 100k-behavior ``slif gen`` spec is about 31 MB).
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
+
 @dataclass
 class ServerConfig:
     """Tuning knobs of one server instance (the ``slif serve`` flags)."""
@@ -112,7 +119,6 @@ class ServerConfig:
     jobs: int = 1                 # default --jobs for heavy requests
     cache_size: int = 32          # LRU sessions kept (0 = no caching)
     max_inflight: int = 4         # concurrent heavy requests before 429
-    batch_window: float = 0.002   # estimate coalescing window (0 = off)
     drain_timeout: float = 10.0   # seconds to wait for in-flight on drain
     quiet: bool = True            # suppress per-request access log lines
     fleet_heartbeat: float = 1.0  # worker heartbeat interval (timeout 4x)
@@ -157,7 +163,7 @@ class SlifServer:
 
         self.config = config
         self.cache = GraphCache(config.cache_size)
-        self.batcher = MicroBatcher(config.batch_window)
+        self.batcher = MicroBatcher()
         self.fleet = FleetCoordinator(
             FleetConfig(
                 heartbeat_interval=config.fleet_heartbeat,
@@ -317,6 +323,8 @@ class SlifServer:
             process.set_gauge("inflight", self._inflight)
             process.set_gauge("heavy_inflight", self._heavy_inflight)
         process.set_gauge("draining", 1.0 if self.draining else 0.0)
+        # spans the bounded trace buffer had no room for
+        process.inc("obs.spans_dropped", obs.TRACER.dropped)
         if self.jobs is not None:
             job_stats = self.jobs.stats()
             process.set_gauge("jobs_queued", job_stats["queued"])
@@ -493,14 +501,13 @@ class SlifServer:
         try:
             request = self._parse(body, api.EstimateRequest)
             request.validate()
-            graph_key = self.cache.key_for(request.spec)
+            session, _ = self.cache.get(request.spec)
             batch_key = (request.mode, request.concurrent)
 
             def batch_compute(keys) -> Dict[Any, Any]:
-                # One kernel sweep scores the whole window of distinct
+                # One kernel sweep scores the whole batch of distinct
                 # (mode, concurrent) requests against the shared cached
                 # graph; identical requests coalesced on top of that.
-                session, _ = self.cache.get(request.spec)
                 requests = [
                     api.EstimateRequest(
                         spec=request.spec, mode=mode, concurrent=concurrent
@@ -517,7 +524,7 @@ class SlifServer:
                         for key, result in zip(keys, results)
                     }
                 # Per-key fallback: surface each request's own error
-                # instead of poisoning the whole window with one.
+                # instead of poisoning the whole batch with one.
                 out: Dict[Any, Any] = {}
                 for key, req in zip(keys, requests):
                     try:
@@ -527,7 +534,7 @@ class SlifServer:
                 return out
 
             return 200, self.batcher.run_grouped(
-                graph_key, batch_key, batch_compute
+                session.key, batch_key, batch_compute
             ), {}
         except SlifError as exc:
             return 400, {"error": str(exc)}, {}
@@ -666,6 +673,16 @@ def _version() -> str:
     return __version__
 
 
+def _length_error(raw: str) -> Optional[Tuple[int, Dict[str, Any]]]:
+    """The edge's answer to an unusable ``Content-Length``, or None."""
+    if not (raw.isascii() and raw.isdigit()):
+        return 400, {"error": f"invalid Content-Length header {raw!r}"}
+    digits = raw.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+        return 413, {"error": f"request body over {MAX_BODY_BYTES} bytes"}
+    return None
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Thin HTTP shim over :meth:`SlifServer.handle_request`."""
 
@@ -715,15 +732,23 @@ class _Handler(BaseHTTPRequestHandler):
         started = time.perf_counter()
         trace_id = ""
         try:
-            length = int(self.headers.get("Content-Length") or 0)
-            body = self.rfile.read(length) if length else b""
-            status, payload, headers, trace_id = app.handle_timed(
-                method,
-                self.path,
-                body,
-                trace_id=self.headers.get("X-Slif-Trace-Id"),
-                tenant=self.headers.get("X-Slif-Tenant"),
-            )
+            raw_length = (self.headers.get("Content-Length") or "0").strip()
+            rejected = _length_error(raw_length)
+            if rejected is None:
+                length = int(raw_length)
+                body = self.rfile.read(length) if length else b""
+                status, payload, headers, trace_id = app.handle_timed(
+                    method,
+                    self.path,
+                    body,
+                    trace_id=self.headers.get("X-Slif-Trace-Id"),
+                    tenant=self.headers.get("X-Slif-Tenant"),
+                )
+            else:
+                # The body stays unread, so this connection cannot carry
+                # another request: the header makes the handler close it.
+                status, payload = rejected
+                headers = {"Connection": "close"}
             if isinstance(payload, EventStream):
                 self._stream(status, payload, headers)
                 return
@@ -809,8 +834,7 @@ def run_server(config: ServerConfig) -> int:
     print(
         f"slif serve: listening on http://{server.host}:{server.port} "
         f"(jobs={config.jobs} cache-size={config.cache_size} "
-        f"max-inflight={config.max_inflight} "
-        f"batch-window={config.batch_window:g}s)",
+        f"max-inflight={config.max_inflight})",
         file=sys.stderr,
     )
     if server.jobs is not None:

@@ -1,125 +1,81 @@
-"""Micro-batching of estimate requests that share a cached graph.
+"""Opportunistic micro-batching of estimate requests that share a graph.
 
-Estimation is deterministic: two requests with the same session key,
-frequency mode and concurrency flag produce byte-identical results.
-The :class:`MicroBatcher` exploits that — the first request for a key
-becomes the *leader*, waits a small window for lookalikes to pile up,
-evaluates once, and every *follower* that arrived inside the window
-gets the same result object without touching the estimators at all.
-Under concurrent load this turns N identical evaluations into one pass
-per window; with no concurrency it costs exactly one window of added
-latency per request (the window defaults to 2 ms against a ~100 ms
-cold build, and ``window=0`` disables batching entirely).
+Estimation is deterministic per (session key, mode, concurrent), so the
+:class:`MicroBatcher` shares work between requests without ever waiting
+on a timer.  A request for a graph with no batch in flight computes at
+once, on its own thread.  Requests for that graph that arrive while a
+batch computes join one *pending* batch; when the running batch
+finishes, the pending batch's first arrival leads it and scores every
+distinct key in one ``batch_compute`` call.  This is the adaptive
+batching of Clipper and TF-Serving: batches grow with load, and a lone
+request pays nothing for them.  One batch per graph in flight loses no
+parallelism, since estimates on one session serialise on its lock.
+
+A batch holds the GIL for its whole evaluation, so its leader first
+yields the GIL once: handler threads that already hold a request for
+the graph then queue behind the batch instead of each leading one.
 
 Counters (local, mirrored to :mod:`repro.obs` when enabled):
-
-* ``serve.batch.leaders`` — evaluations actually performed;
-* ``serve.batch.coalesced`` — requests served by someone else's
-  evaluation;
-* ``serve.batch.size`` histogram — requests per evaluated batch.
+``serve.batch.leaders`` (evaluations performed), ``serve.batch.coalesced``
+(requests served by someone else's evaluation) and the
+``serve.batch.size`` histogram (requests per evaluated batch).
 """
 
 from __future__ import annotations
 
+import os
 import threading
-import time
 from typing import Callable, Dict, Hashable, TypeVar
 
 from repro.obs import OBS
 
 T = TypeVar("T")
 
-#: Upper bound on how long a follower waits for its leader before
-#: falling back to computing on its own (a leader stuck this long means
-#: something is deeply wrong; followers must not hang with it).
+#: Upper bound on how long a request waits for someone else's batch
+#: before computing on its own (a batch stuck this long means something
+#: is deeply wrong; its waiters must not hang with it).
 FOLLOWER_TIMEOUT = 60.0
 
-
-class _Group:
-    """One in-flight batch: the leader's pending evaluation."""
-
-    __slots__ = ("event", "result", "error", "followers")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.result = None
-        self.error: BaseException = None
-        self.followers = 0
+#: Give up the GIL once, without sleeping (a no-op where the platform
+#: has no ``sched_yield``).  With no other thread runnable it returns
+#: at once.
+_yield_gil = getattr(os, "sched_yield", lambda: None)
 
 
-class _GroupedBatch:
-    """One in-flight *grouped* batch: distinct keys, one evaluation."""
+class _Batch:
+    """One batch of one group: distinct keys, one evaluation.
 
-    __slots__ = ("event", "results", "error", "keys", "waiters")
+    Only a batch queued behind a running one can be joined or has to
+    wait, so only it carries events: ``ready`` is set when it may
+    compute, ``done`` when its results are in.
+    """
 
-    def __init__(self) -> None:
-        self.event = threading.Event()
+    __slots__ = ("keys", "waiters", "ready", "done", "results", "error")
+
+    def __init__(self, key: Hashable, queued: bool) -> None:
+        self.keys = [key]       # distinct keys, arrival order
+        self.waiters = 0        # requests served by this batch's leader
+        self.ready = threading.Event() if queued else None
+        self.done = threading.Event() if queued else None
         self.results = None
         self.error: BaseException = None
-        self.keys = []          # distinct keys, arrival order
-        self.waiters = 0
 
 
-_MISSING = object()
+def _unwrap(value: T) -> T:
+    if isinstance(value, BaseException):
+        raise value
+    return value
 
 
 class MicroBatcher:
-    """Coalesce identical computations submitted within a time window."""
+    """Batch what queues behind a running evaluation; never wait on a timer."""
 
-    def __init__(self, window: float = 0.002) -> None:
-        if window < 0:
-            raise ValueError(f"batch window must be >= 0, got {window}")
-        self.window = window
-        self._groups: Dict[Hashable, _Group] = {}
-        self._grouped: Dict[Hashable, _GroupedBatch] = {}
+    def __init__(self) -> None:
+        self._running: Dict[Hashable, _Batch] = {}
+        self._pending: Dict[Hashable, _Batch] = {}
         self._lock = threading.Lock()
         self.leaders = 0
         self.coalesced = 0
-
-    def run(self, key: Hashable, compute: Callable[[], T]) -> T:
-        """Return ``compute()``, shared with everyone batched on ``key``.
-
-        ``compute`` must be deterministic in ``key``: every caller
-        passing the same key must be content with any other caller's
-        result (and any other caller's exception).
-        """
-        if self.window <= 0:
-            return compute()
-        with self._lock:
-            group = self._groups.get(key)
-            if group is not None:
-                group.followers += 1
-                follower = True
-            else:
-                group = _Group()
-                self._groups[key] = group
-                follower = False
-        if follower:
-            if not group.event.wait(FOLLOWER_TIMEOUT):
-                return compute()  # leader wedged; save ourselves
-            with self._lock:
-                self.coalesced += 1
-            if OBS.enabled:
-                OBS.inc("serve.batch.coalesced")
-            if group.error is not None:
-                raise group.error
-            return group.result
-        # Leader: let lookalikes accumulate, close the window, evaluate.
-        time.sleep(self.window)
-        with self._lock:
-            self._groups.pop(key, None)
-            self.leaders += 1
-        try:
-            group.result = compute()
-        except BaseException as exc:
-            group.error = exc
-            raise
-        finally:
-            if OBS.enabled:
-                OBS.inc("serve.batch.leaders")
-                OBS.observe("serve.batch.size", 1 + group.followers)
-            group.event.set()
-        return group.result
 
     def run_grouped(
         self,
@@ -127,85 +83,91 @@ class MicroBatcher:
         key: Hashable,
         batch_compute: Callable[[list], Dict[Hashable, T]],
     ) -> T:
-        """Batch *distinct* keys of one ``group`` into a single evaluation.
+        """Return ``key``'s result, computed in one batch with its ``group``.
 
-        Where :meth:`run` only coalesces identical requests, this lets a
-        whole window of different-but-related requests (same ``group``,
-        e.g. the same cached graph; different ``key``, e.g. frequency
-        mode) be computed together: the group's leader waits the window,
-        snapshots every distinct key that queued up, and calls
-        ``batch_compute(keys)`` once — the hook the estimation kernel's
+        ``group`` names what requests share (e.g. the cached graph);
+        ``key`` what distinguishes them (e.g. frequency mode).  The
+        batch's leader calls ``batch_compute(keys)`` once with every
+        distinct key of its batch — the hook the estimation kernel's
         batched sweep plugs into.  ``batch_compute`` returns a dict with
         one result per key; a value that is an exception instance is
-        raised to that key's waiters only, so one bad request cannot
-        poison the rest of its window.
-
-        Identical keys still coalesce exactly like :meth:`run`; results
-        for the same key must therefore be deterministic.
+        raised to that key's waiters only, and an exception raised by
+        ``batch_compute`` itself only to its own batch's waiters.
+        Identical keys coalesce, so results must be deterministic.
         """
-        if self.window <= 0:
-            value = batch_compute([key])[key]
-            if isinstance(value, BaseException):
-                raise value
-            return value
         with self._lock:
-            batch = self._grouped.get(group)
-            if batch is not None:
+            batch = self._pending.get(group)
+            lead = batch is None
+            if group not in self._running:
+                batch = self._running[group] = _Batch(key, queued=False)
+                lead = True
+            elif lead:
+                batch = self._pending[group] = _Batch(key, queued=True)
+            else:
                 batch.waiters += 1
                 if key not in batch.keys:
                     batch.keys.append(key)
-                follower = True
-            else:
-                batch = _GroupedBatch()
-                batch.keys.append(key)
-                self._grouped[group] = batch
-                follower = False
-        if follower:
-            if not batch.event.wait(FOLLOWER_TIMEOUT):
-                value = batch_compute([key])[key]  # leader wedged
-                if isinstance(value, BaseException):
-                    raise value
-                return value
+        if not lead:
+            if not batch.done.wait(FOLLOWER_TIMEOUT):
+                return _unwrap(batch_compute([key])[key])  # batch wedged
             with self._lock:
                 self.coalesced += 1
             if OBS.enabled:
                 OBS.inc("serve.batch.coalesced")
             if batch.error is not None:
                 raise batch.error
-            value = batch.results.get(key, _MISSING)
-        else:
-            # Leader: close the window, snapshot the queued keys, compute
-            # them all in one call.  Followers register their key under
-            # the lock before we pop the group, so the snapshot is
-            # complete for everyone who will read it.
-            time.sleep(self.window)
+            return _unwrap(batch.results[key])
+        if batch.ready is not None and not batch.ready.wait(FOLLOWER_TIMEOUT):
+            # The running batch is wedged: close this one to new arrivals
+            # and compute it beside the stuck one (unless it was promoted
+            # just as the wait timed out).
             with self._lock:
-                self._grouped.pop(group, None)
-                self.leaders += 1
-                keys = list(batch.keys)
-            try:
-                batch.results = batch_compute(keys)
-            except BaseException as exc:
-                batch.error = exc
-                raise
-            finally:
-                if OBS.enabled:
-                    OBS.inc("serve.batch.leaders")
-                    OBS.observe("serve.batch.size", 1 + batch.waiters)
-                batch.event.set()
-            value = batch.results.get(key, _MISSING)
-        if value is _MISSING:  # pragma: no cover - defensive
-            value = batch_compute([key])[key]
-        if isinstance(value, BaseException):
-            raise value
-        return value
+                if self._pending.get(group) is batch:
+                    del self._pending[group]
+        _yield_gil()
+        # A queued batch was promoted (or detached) under the lock, so
+        # its key list is closed: everyone who joined is in the snapshot.
+        with self._lock:
+            self.leaders += 1
+            keys = list(batch.keys)
+        try:
+            batch.results = batch_compute(keys)
+        except BaseException as exc:
+            batch.error = exc
+            raise
+        finally:
+            if OBS.enabled:
+                OBS.inc("serve.batch.leaders")
+                OBS.observe("serve.batch.size", 1 + batch.waiters)
+            self._finish(group, batch)
+        return _unwrap(batch.results[key])
+
+    def _finish(self, group: Hashable, batch: _Batch) -> None:
+        """Release ``batch``'s waiters and start the group's next batch."""
+        successor = None
+        with self._lock:
+            if self._running.get(group) is batch:
+                successor = self._pending.pop(group, None)
+                if successor is None:
+                    del self._running[group]
+                else:
+                    self._running[group] = successor
+        if batch.done is not None:
+            batch.done.set()
+        if successor is not None:
+            successor.ready.set()
 
     def stats(self) -> Dict[str, object]:
-        """Plain-data snapshot for ``GET /v1/stats``."""
+        """Plain-data snapshot for ``GET /v1/stats``.
+
+        ``window_seconds`` is how long a leader waits before computing
+        (always 0); ``pending`` counts requests queued behind a running
+        batch.
+        """
         with self._lock:
             return {
-                "window_seconds": self.window,
+                "window_seconds": 0.0,
                 "leaders": self.leaders,
                 "coalesced": self.coalesced,
-                "pending": len(self._groups) + len(self._grouped),
+                "pending": sum(1 + b.waiters for b in self._pending.values()),
             }

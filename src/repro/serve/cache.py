@@ -29,6 +29,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, List, Tuple
 
+from repro.api.frontends import FRONTENDS
 from repro.api.session import Session, load, session_key
 from repro.obs import OBS
 
@@ -60,20 +61,19 @@ class GraphCache:
         with self._lock:
             self._sessions.clear()
 
-    def key_for(self, spec: str) -> str:
-        """The cache key a spec resolves to (no session is built)."""
-        return session_key(spec)
-
     def get(self, spec: str) -> Tuple[Session, bool]:
         """Return ``(session, hit)`` for a spec, building on miss.
 
-        With ``capacity=0`` every call builds a fresh session (counted
-        as a miss) — the parse-per-request baseline.
+        The spec is resolved through the front-end registry once: the
+        key and, on a miss, the build both come from that one
+        resolution.  With ``capacity=0`` every call builds a fresh
+        session (counted as a miss) — the parse-per-request baseline.
         """
+        resolved = FRONTENDS.resolve(spec)
         if self.capacity == 0:
             self._count_miss()
-            return load(spec), False
-        key = session_key(spec)
+            return load(resolved), False
+        key = session_key(resolved)
         while True:
             with self._lock:
                 session = self._sessions.get(key)
@@ -91,7 +91,7 @@ class GraphCache:
             # Another thread is building this key: wait, then re-read.
             pending.wait()
         try:
-            session = load(spec)
+            session = load(resolved)
         except BaseException:
             with self._lock:
                 self._building.pop(key, None)

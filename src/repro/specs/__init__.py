@@ -16,6 +16,7 @@ vol         214    30    41
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, List
 
 from repro.errors import SlifError
@@ -72,8 +73,13 @@ def _module(name: str):
         ) from None
 
 
+@functools.lru_cache(maxsize=None)
 def spec_source(name: str) -> str:
-    """The VHDL source text of a bundled benchmark."""
+    """The VHDL source text of a bundled benchmark.
+
+    Generated once per process and name: the text is an immutable
+    ``str``, and every resolve of a bundled name asks for it.
+    """
     return _module(name).source()
 
 

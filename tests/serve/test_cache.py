@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.api import session_key
 from repro.serve.cache import GraphCache
 
 
@@ -37,13 +38,29 @@ class TestLookup:
             "capacity": 4, "size": 1, "hits": 1, "misses": 1, "evictions": 0,
         }
 
-    def test_key_for_matches_session_key(self):
-        from repro.api import session_key
-
+    def test_cached_session_is_keyed_by_session_key(self):
         cache = GraphCache(capacity=4)
-        assert cache.key_for(SPEC_A) == session_key(SPEC_A)
         session, _ = cache.get(SPEC_A)
-        assert session.key == cache.key_for(SPEC_A)
+        assert session.key == session_key(SPEC_A)
+        assert cache.keys() == [session_key(SPEC_A)]
+
+    @pytest.mark.parametrize("capacity", [0, 4])
+    def test_each_get_resolves_the_spec_once(self, monkeypatch, capacity):
+        from repro.api.frontends import FRONTENDS
+
+        calls = []
+        resolve = FRONTENDS.resolve
+
+        def counted(spec):
+            calls.append(spec)
+            return resolve(spec)
+
+        monkeypatch.setattr(FRONTENDS, "resolve", counted)
+        cache = GraphCache(capacity=capacity)
+        cache.get(SPEC_A)  # miss: key and build share one resolution
+        assert len(calls) == 1
+        cache.get(SPEC_A)
+        assert len(calls) == 2
 
     def test_distinct_specs_do_not_collide(self):
         cache = GraphCache(capacity=4)
@@ -71,7 +88,7 @@ class TestLRUEviction:
         cache.get(SPEC_B)
         cache.get(SPEC_C)  # evicts A, the least recently used
         assert cache.stats()["evictions"] == 1
-        assert cache.keys() == [cache.key_for(SPEC_B), cache.key_for(SPEC_C)]
+        assert cache.keys() == [session_key(SPEC_B), session_key(SPEC_C)]
         _, hit = cache.get(SPEC_A)  # A is gone: rebuilt
         assert not hit
 
@@ -83,7 +100,7 @@ class TestLRUEviction:
         cache.get(SPEC_C)  # so B is evicted, not A
         _, hit_a = cache.get(SPEC_A)
         assert hit_a
-        assert cache.key_for(SPEC_B) not in cache.keys()
+        assert session_key(SPEC_B) not in cache.keys()
 
     def test_rebuild_after_eviction_gets_same_key(self):
         cache = GraphCache(capacity=1)

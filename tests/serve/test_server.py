@@ -7,6 +7,7 @@ calling the :mod:`repro.api` facade directly in-process.
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -14,7 +15,7 @@ import pytest
 
 from repro import api
 from repro.api.types import canonical_json
-from repro.serve.app import ServerConfig, SlifServer
+from repro.serve.app import MAX_BODY_BYTES, ServerConfig, SlifServer
 
 
 def http_request(server, method, path, body=None, attempts=3):
@@ -57,7 +58,7 @@ def start_server(config):
 @pytest.fixture(scope="module")
 def server():
     srv, thread = start_server(
-        ServerConfig(port=0, cache_size=8, max_inflight=4, batch_window=0.002)
+        ServerConfig(port=0, cache_size=8, max_inflight=4)
     )
     yield srv
     srv.shutdown()
@@ -113,6 +114,58 @@ class TestBasics:
         assert "neither a bundled benchmark" in json.loads(body)["error"]
 
 
+def raw_exchange(server, request):
+    """Send raw bytes on a fresh socket; read until the server closes."""
+    address = (server.host, server.port)
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            data = sock.recv(65536)
+            if not data:
+                return b"".join(chunks)
+            chunks.append(data)
+
+
+class TestHostileContentLength:
+    @pytest.mark.parametrize(
+        "value, status",
+        [
+            ("abc", 400),
+            ("-5", 400),
+            (str(MAX_BODY_BYTES + 1), 413),
+            ("9" * 5000, 413),
+        ],
+        ids=["letters", "negative", "over-limit", "huge-digits"],
+    )
+    def test_rejected_with_a_response(self, server, value, status):
+        # no body follows: a 413 must not wait to read one
+        response = raw_exchange(
+            server,
+            b"POST /v1/estimate HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: " + value.encode() + b"\r\n\r\n",
+        )
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split(b" ")[1] == str(status).encode()
+        assert b"Connection: close" in head
+        assert json.loads(body)["error"]
+        # the server is unharmed: the next request on a new connection works
+        status, _, body = http_request(
+            server, "POST", "/v1/estimate", body={"spec": "vol"}
+        )
+        assert status == 200
+        assert json.loads(body)["system_time"] > 0
+
+    def test_valid_length_is_read(self, server):
+        assert MAX_BODY_BYTES == 64 * 1024 * 1024
+        response = raw_exchange(
+            server,
+            b"POST /v1/estimate HTTP/1.1\r\nHost: x\r\n"
+            b"Connection: close\r\nContent-Length: 2\r\n\r\n{}",
+        )
+        assert response.startswith(b"HTTP/1.1 400")  # missing "spec"
+
+
 class TestEstimate:
     def test_response_is_byte_identical_to_facade(self, server):
         expected = canonical_json(api.estimate("vol").to_dict()).encode("utf-8")
@@ -152,6 +205,59 @@ class TestEstimate:
             api.estimate({"spec": "vol", "mode": "max"}).to_dict()
         ).encode("utf-8")
         assert max_body == expected
+
+
+class TestOneResolvePerEstimate:
+    """Each estimate resolves its spec once and hashes its key once."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        import repro.serve.cache as cache
+        from repro.api.frontends import FRONTENDS
+
+        calls = {"resolve": 0, "key": 0}
+        resolve, key = FRONTENDS.resolve, cache.session_key
+
+        def counted_resolve(spec):
+            calls["resolve"] += 1
+            return resolve(spec)
+
+        def counted_key(spec, **kwargs):
+            calls["key"] += 1
+            return key(spec, **kwargs)
+
+        monkeypatch.setattr(FRONTENDS, "resolve", counted_resolve)
+        monkeypatch.setattr(cache, "session_key", counted_key)
+        srv = SlifServer(ServerConfig(port=0, cache_size=4))
+        yield srv, calls
+        srv.close()
+
+    @staticmethod
+    def estimate(srv, calls, spec):
+        calls.update(resolve=0, key=0)
+        body = canonical_json({"spec": spec}).encode("utf-8")
+        status, payload, _, _ = srv.handle_timed("POST", "/v1/estimate", body)
+        assert status == 200, payload
+        return dict(calls)
+
+    def test_warm_bundled_spec(self, counted):
+        srv, calls = counted
+        self.estimate(srv, calls, "fuzzy")  # warm the cache
+        assert self.estimate(srv, calls, "fuzzy") == {"resolve": 1, "key": 1}
+        assert srv.cache.stats()["hits"] == 1
+
+    def test_cold_inline_generated_spec(self, counted):
+        from repro.synth.gen import GenConfig, generate_text
+
+        srv, calls = counted
+        text = generate_text(GenConfig(behaviors=30, seed=11))
+        assert self.estimate(srv, calls, text) == {"resolve": 1, "key": 1}
+        assert srv.cache.stats()["misses"] == 1
+
+    def test_bundled_source_is_generated_once(self):
+        from repro.specs import spec_source
+
+        assert spec_source("ether") is spec_source("ether")
 
 
 class TestHeavyEndpoints:

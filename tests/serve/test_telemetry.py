@@ -46,7 +46,7 @@ def http_request(server, method, path, body=None, headers=None, attempts=3):
 @pytest.fixture()
 def server():
     srv = SlifServer(
-        ServerConfig(port=0, cache_size=8, max_inflight=4, batch_window=0.0)
+        ServerConfig(port=0, cache_size=8, max_inflight=4)
     )
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
@@ -178,6 +178,19 @@ class TestMetricsEndpoint:
     def test_post_metrics_is_405(self, server):
         status, _, _ = http_request(server, "POST", "/metrics", body={})
         assert status == 405
+
+    def test_dropped_spans_are_exported(self, server, monkeypatch):
+        from repro.obs import Registry, Tracer
+
+        tracer = Tracer(registry=Registry(enabled=True), max_spans=2)
+        monkeypatch.setattr(obs, "TRACER", tracer)
+        for i in range(5):
+            with tracer.span(f"s{i}"):
+                pass
+        assert tracer.dropped == 3
+        text = server.metrics_text()
+        assert "# TYPE slif_obs_spans_dropped_total counter" in text
+        assert "slif_obs_spans_dropped_total 3" in text.splitlines()
 
 
 class TestConcurrentSpans:
