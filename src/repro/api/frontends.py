@@ -134,16 +134,32 @@ class VhdlFrontEnd(FrontEnd):
     def resolve(self, spec: str) -> ResolvedSpec:
         return ResolvedSpec(frontend=self.name, source=spec, name="user")
 
-    def parse(self, resolved: ResolvedSpec, library):
+    def parse(
+        self,
+        resolved: ResolvedSpec,
+        library,
+        granularity=None,
+        annotate: bool = True,
+    ):
+        """Build the graph; VHDL adds two front-end-only choices.
+
+        ``granularity`` is a :class:`~repro.vhdl.granularity.Granularity`
+        (default: behavior-level nodes); ``annotate=False`` skips the
+        preprocessing pass, for callers that only need the structure.
+        """
         from repro.obs import span
         from repro.synth.annotate import annotate_slif
         from repro.vhdl.slif_builder import build_slif_from_source
 
         slif = build_slif_from_source(
-            resolved.source, name=resolved.name, profile=resolved.profile
+            resolved.source,
+            name=resolved.name,
+            profile=resolved.profile,
+            granularity=granularity,
         )
-        with span("synth.annotate"):
-            annotate_slif(slif, library)
+        if annotate:
+            with span("synth.annotate"):
+                annotate_slif(slif, library)
         return slif
 
 

@@ -94,54 +94,49 @@ from repro import obs
 from repro.errors import SlifError
 
 
-def _load_source(spec: str, profile_path: Optional[str] = None):
-    """Resolve a CLI spec argument to (source text, name, profile)."""
-    from repro.specs import SPEC_NAMES, spec_profile, spec_source
+def _is_vhdl(resolved) -> bool:
+    """Did a VHDL-family front end resolve this spec?"""
+    from repro.api.frontends import FRONTENDS, VhdlFrontEnd
+
+    return isinstance(FRONTENDS.get(resolved.frontend), VhdlFrontEnd)
+
+
+def _load_graph(args: argparse.Namespace, annotate: bool = True):
+    """Resolve ``args.spec`` through the front-end registry; build its graph.
+
+    Returns ``(resolved spec, graph)``.  ``--granularity`` and
+    ``--profile`` (where the subcommand has them) shape the VHDL front
+    ends' parse; any other front end rejects a non-default value, since
+    it has no source to re-cut or re-profile.
+    """
+    from dataclasses import replace
+
+    from repro.api.frontends import FRONTENDS
+    from repro.synth.techlib import default_library
+    from repro.vhdl.granularity import Granularity
     from repro.vhdl.profiler import BranchProfile
 
-    explicit_profile = None
-    if profile_path:
-        explicit_profile = BranchProfile.parse(Path(profile_path).read_text())
-    if spec in SPEC_NAMES:
-        return (
-            spec_source(spec),
-            spec,
-            explicit_profile or spec_profile(spec),
+    resolved = FRONTENDS.resolve(args.spec)
+    frontend = FRONTENDS.get(resolved.frontend)
+    granularity = getattr(args, "granularity", "behavior")
+    profile = getattr(args, "profile", None)
+    if not _is_vhdl(resolved):
+        if granularity != "behavior" or profile:
+            raise SlifError(
+                f"--granularity and --profile apply to VHDL specs only; "
+                f"{args.spec!r} is a {frontend.name!r} spec"
+            )
+        return resolved, frontend.parse(resolved, default_library())
+    if profile:
+        resolved = replace(
+            resolved, profile=BranchProfile.parse(Path(profile).read_text())
         )
-    path = Path(spec)
-    if not path.exists():
-        raise SlifError(
-            f"{spec!r} is neither a bundled benchmark ({SPEC_NAMES}) nor a file"
-        )
-    return path.read_text(), path.stem, explicit_profile
-
-
-def _build_graph(
-    spec: str,
-    annotate: bool = True,
-    granularity: str = "behavior",
-    profile_path: Optional[str] = None,
-):
-    from repro.synth.annotate import annotate_slif
-    from repro.vhdl.granularity import Granularity
-    from repro.vhdl.slif_builder import build_slif_from_source
-
-    source, name, profile = _load_source(spec, profile_path)
-    slif = build_slif_from_source(
-        source,
-        name=name,
-        profile=profile,
+    return resolved, frontend.parse(
+        resolved,
+        default_library(),
         granularity=Granularity(granularity),
+        annotate=annotate,
     )
-    if annotate:
-        annotate_slif(slif)
-    return slif
-
-
-def _build_system(spec: str):
-    from repro import api
-
-    return api.load(spec).system
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -149,11 +144,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     from repro.core.textfmt import dumps as slif_dumps
 
     with obs.span("cli.build", spec=args.spec) as sp:
-        slif = _build_graph(
-            args.spec,
-            granularity=args.granularity,
-            profile_path=getattr(args, "profile", None),
-        )
+        _, slif = _load_graph(args)
     text = slif_dumps(slif) if args.format == "text" else slif_to_json(slif)
     if args.output:
         Path(args.output).write_text(text)
@@ -488,26 +479,32 @@ def cmd_work(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     from repro.cdfg.stats import compare_formats_from_source, render_comparison
-
-    source, name, profile = _load_source(args.spec)
-    slif = _build_graph(
-        args.spec, annotate=False, granularity=args.granularity
-    )
-    stats = slif.stats()
     from repro.vhdl.lexer import count_source_lines
 
-    print(f"{name}: {count_source_lines(source)} lines")
-    for key, value in stats.items():
+    resolved, slif = _load_graph(args, annotate=False)
+    vhdl = _is_vhdl(resolved)
+    if vhdl:
+        print(f"{resolved.name}: {count_source_lines(resolved.source)} lines")
+    else:
+        print(f"{resolved.name}: {resolved.frontend} spec")
+    for key, value in slif.stats().items():
         print(f"  {key}: {value}")
-    print()
-    print(render_comparison(compare_formats_from_source(source, name)))
+    if vhdl:
+        print()
+        print(
+            render_comparison(
+                compare_formats_from_source(resolved.source, resolved.name)
+            )
+        )
     return 0
 
 
 def cmd_breakdown(args: argparse.Namespace) -> int:
     from repro.estimate.breakdown import system_breakdowns, time_breakdown
 
-    system = _build_system(args.spec)
+    from repro import api
+
+    system = api.load(args.spec).system
     if args.behavior:
         print(
             time_breakdown(system.slif, system.partition, args.behavior).render()
@@ -521,7 +518,7 @@ def cmd_breakdown(args: argparse.Namespace) -> int:
 def cmd_transform(args: argparse.Namespace) -> int:
     from repro.transform.inline import inline_all_single_callers
 
-    slif = _build_graph(args.spec)
+    _, slif = _load_graph(args)
     before = slif.stats()
     count = inline_all_single_callers(slif)
     after = slif.stats()
@@ -541,7 +538,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     from repro.core.validate import validate_slif
 
-    slif = _build_graph(args.spec)
+    _, slif = _load_graph(args)
     issues = validate_slif(slif)
     if not issues:
         print(f"{slif.name}: no issues")
@@ -555,7 +552,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_dot(args: argparse.Namespace) -> int:
     from repro.core.dot import to_dot
 
-    slif = _build_graph(args.spec, annotate=False, granularity=args.granularity)
+    _, slif = _load_graph(args, annotate=False)
     text = to_dot(slif, annotate=not args.plain)
     if args.output:
         Path(args.output).write_text(text)

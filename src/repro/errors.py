@@ -49,10 +49,10 @@ class WorkerError(PartitionError):
 class ChunkTimeoutError(PartitionError):
     """An exploration chunk exceeded its per-chunk timeout budget.
 
-    Raised by the fault-tolerant dispatch loop in
-    :mod:`repro.explore.engine` when a chunk's worker did not report a
-    result within ``RetryPolicy.timeout`` seconds and the retry budget
-    is exhausted (with graceful fallback disabled).  Message-only for
+    The failure :mod:`repro.explore.ledger` records for a lease that
+    outlived ``RetryPolicy.timeout`` seconds; a sweep that exhausts a
+    chunk's retries this way with graceful fallback disabled raises a
+    :class:`PartitionError` whose message names it.  Message-only for
     the same pickle-safety reasons as :class:`WorkerError`.
     """
 

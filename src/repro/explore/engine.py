@@ -11,17 +11,20 @@ exactly — the reason ``--jobs N`` output is byte-identical to
 ``--jobs 1`` for the same seed.
 
 The pool path is fault-tolerant.  Chunks are dispatched asynchronously
-(``apply_async`` plus a bounded polling loop) under a
-:class:`RetryPolicy`: a per-chunk timeout, retries with seeded
-exponential backoff and jitter, pool-death detection with respawn and
-re-queueing, and — once a chunk exhausts its retry budget — graceful
-degradation to the in-process runner.  Because every candidate is a
-pure function of ``(graph, spec)`` and completed chunks are de-duplicated
-by index, none of this machinery can change the merged answer: a sweep
-either completes with ``jobs=1``-identical results or surfaces the
-candidate's own :class:`~repro.errors.WorkerError`.  Chunk-level
-checkpointing (see :mod:`repro.explore.checkpoint`) journals completed
-chunks so an interrupted sweep resumes where it stopped.
+(``apply_async`` plus a bounded polling loop) and tracked in a
+:class:`~repro.explore.ledger.ChunkLedger` — the chunk lifecycle the
+fleet coordinator drives too — under a :class:`RetryPolicy`: a
+per-chunk timeout, retries with seeded exponential backoff and jitter,
+and, once a chunk exhausts its retry budget, graceful degradation to
+the in-process runner (:func:`run_in_process`).  The pool itself adds
+only pool-death detection with a bounded respawn budget.  Because
+every candidate is a pure function of ``(graph, spec)`` and completed
+chunks are de-duplicated by index, none of this machinery can change
+the merged answer: a sweep either completes with ``jobs=1``-identical
+results or surfaces the candidate's own
+:class:`~repro.errors.WorkerError`.  Chunk-level checkpointing (see
+:mod:`repro.explore.checkpoint`) journals completed chunks so an
+interrupted sweep resumes where it stopped.
 
 Observability: the coordinator records per-worker chunk telemetry into
 the existing :mod:`repro.obs` registry — ``explore.chunks`` /
@@ -46,32 +49,35 @@ processes.
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import (
-    ChunkTimeoutError,
-    PartitionError,
-    PoolCrashError,
-    WorkerError,
-)
+from repro.errors import PartitionError, PoolCrashError, WorkerError
 from repro import obs
 from repro.obs import OBS, add_event
+from repro.explore.ledger import ChunkLedger
 from repro.explore.plan import CandidateSpec, Chunk, WorkPlan
 from repro.explore.worker import (
     ChunkResult,
+    ChunkRunner,
     ObsContext,
     PlanPayload,
     RestartOutcome,
     init_worker,
     run_worker_chunk,
 )
+
+#: Idle wait of the pool loop between polls that found nothing to do.
+POLL_INTERVAL = 0.02
+#: Times a dying pool is rebuilt before the engine abandons it.
+MAX_POOL_RESPAWNS = 3
+#: The ledger owner name of every lease the local pool holds.
+_POOL = "pool"
 
 
 def resolve_jobs(jobs: Optional[int], chunks: int) -> int:
@@ -106,9 +112,10 @@ class RetryPolicy:
     identically.  A chunk that exhausts its budget degrades to the
     in-process runner when ``fallback`` is true (the default), so the
     sweep still completes with identical results; with ``fallback``
-    false it raises :class:`ChunkTimeoutError` /
-    :class:`PoolCrashError` instead.  ``max_pool_respawns`` bounds how
-    many times a dying pool is rebuilt before the engine abandons it.
+    false the sweep raises a :class:`PartitionError` naming the chunk,
+    or :class:`PoolCrashError` once the pool died more than
+    :data:`MAX_POOL_RESPAWNS` times.  The local pool and the fleet
+    apply the policy identically (see :mod:`repro.explore.ledger`).
 
     >>> policy = RetryPolicy(backoff=1.0, jitter=0.0)
     >>> [policy.delay(0, n) for n in (1, 2, 3)]
@@ -125,8 +132,6 @@ class RetryPolicy:
     jitter: float = 0.25
     seed: int = 0
     fallback: bool = True
-    max_pool_respawns: int = 3
-    poll_interval: float = 0.02
 
     def delay(self, chunk_index: int, attempt: int) -> float:
         """Backoff before retry ``attempt`` (1-based) of ``chunk_index``."""
@@ -181,307 +186,184 @@ class RecoveryStats:
         return " ".join(parts)
 
 
-@dataclass
-class _Pending:
-    """One in-flight pool task."""
+def _pool_died(pool, pids: set) -> bool:
+    """Did a worker process die since the pool was spawned?
 
-    chunk: Chunk
-    attempt: int
-    result: object                      # multiprocessing AsyncResult
-    deadline: Optional[float]
+    ``multiprocessing.Pool`` quietly replaces dead workers but the task
+    they were running is lost forever — its ``AsyncResult`` never
+    completes.  Watching the worker pid set (plus liveness, to catch a
+    death the maintenance thread has not reaped yet) turns that silent
+    loss into a detectable event.
+    """
+    procs = list(pool._pool)
+    return {proc.pid for proc in procs} != pids or any(
+        not proc.is_alive() for proc in procs
+    )
 
 
-class _PoolDispatcher:
-    """The async dispatch loop: submit, poll, retry, respawn, degrade.
+def _collect(ledger: ChunkLedger, index: int, task, on_complete) -> None:
+    """Move one finished pool task's outcome into the ledger."""
+    try:
+        value = task.get()
+    except WorkerError as exc:
+        ledger.error(index, str(exc))
+    except Exception as exc:
+        # transient: injected fault, transport/pickle error,
+        # interpreter-level failure inside the worker
+        ledger.fail(index, f"{type(exc).__name__}: {exc}")
+    else:
+        if ledger.complete(index, value):
+            on_complete(value)
 
-    Correctness invariants:
 
-    - a chunk's result is recorded at most once (first completion wins),
-      so a late success racing its own retry cannot double-merge;
-    - a :class:`WorkerError` (the candidate itself is invalid) is never
-      retried — evaluation is deterministic, so the retry would fail
-      identically — and the error for the *lowest* failing chunk index
-      is the one raised, matching what a sequential run surfaces first;
-    - every other failure (timeout, worker crash, result-transport
-      error, injected transient) is treated as an environment fault:
-      retried with backoff, then degraded to the in-process runner.
+def _run_pool(payload, todo, workers, policy, stats, on_complete, obs_ctx):
+    """Dispatch ``todo`` across a local process pool, then finish the sweep.
+
+    The :class:`ChunkLedger` owns the chunk lifecycle; this loop owns
+    only the pool: submit ready chunks, collect finished tasks, and
+    replace the pool when a worker process dies — at most
+    :data:`MAX_POOL_RESPAWNS` times, after which every unfinished chunk
+    falls back to the in-process runner.
     """
 
-    def __init__(
-        self,
-        payload: PlanPayload,
-        todo: List[Chunk],
-        workers: int,
-        policy: RetryPolicy,
-        stats: RecoveryStats,
-        on_complete,
-        obs_ctx: Optional[ObsContext] = None,
-    ) -> None:
-        self.payload = payload
-        self.workers = workers
-        self.policy = policy
-        self.stats = stats
-        self.on_complete = on_complete
-        self.obs_ctx = obs_ctx
-        self.done: Dict[int, ChunkResult] = {}
-        # (ready_time, chunk, attempt); ready_time in time.monotonic() terms
-        self.waiting: List[Tuple[float, Chunk, int]] = [
-            (0.0, chunk, 0) for chunk in todo
-        ]
-        self.pending: Dict[int, _Pending] = {}
-        self.fallback: Dict[int, Chunk] = {}
-        self.errors: Dict[int, WorkerError] = {}
-        self.respawns = 0
-        self.pool = None
-        self.ctx = multiprocessing.get_context()
-        self.pids: set = set()
-
-    # -- pool lifecycle ------------------------------------------------
-
-    def _spawn_pool(self) -> None:
-        self.pool = self.ctx.Pool(
-            processes=self.workers,
-            initializer=init_worker,
-            initargs=(self.payload,),
-        )
-        self.pids = {proc.pid for proc in list(self.pool._pool)}
-
-    def _terminate_pool(self) -> None:
-        if self.pool is not None:
-            self.pool.terminate()
-            self.pool.join()
-            self.pool = None
-
-    def _pool_is_sick(self) -> bool:
-        """Did a worker process die since we last looked?
-
-        ``multiprocessing.Pool`` quietly replaces dead workers but the
-        task they were running is lost forever — its ``AsyncResult``
-        never completes.  Watching the worker pid set (plus liveness,
-        to catch a death the maintenance thread has not reaped yet)
-        turns that silent loss into a detectable event.
-        """
-        if self.pool is None:
-            return False
-        procs = list(self.pool._pool)
-        current = {proc.pid for proc in procs}
-        return current != self.pids or any(
-            not proc.is_alive() for proc in procs
-        )
-
-    def _handle_pool_crash(self) -> None:
-        self.stats.pool_respawns += 1
-        self.respawns += 1
-        if OBS.enabled:
-            OBS.inc("explore.pool_respawns")
-        self._terminate_pool()
-        crashed = list(self.pending.items())
-        self.pending = {}
-        if self.respawns > self.policy.max_pool_respawns:
-            # the environment keeps killing workers; stop feeding it
-            cause = PoolCrashError(
-                f"worker pool died {self.respawns} times "
-                f"(budget {self.policy.max_pool_respawns}); abandoning the "
-                f"pool"
-            )
-            if not self.policy.fallback:
-                raise cause
-            for index, entry in crashed:
-                self.fallback[index] = entry.chunk
-            for _, chunk, _ in self.waiting:
-                self.fallback[chunk.index] = chunk
-            self.waiting = []
-            return
-        self._spawn_pool()
-        for index, entry in crashed:
-            self._failed(
-                entry.chunk,
-                entry.attempt,
-                PoolCrashError(
-                    f"chunk {index} was in flight when a worker process "
-                    f"died (attempt {entry.attempt})"
-                ),
-            )
-
-    # -- per-chunk bookkeeping -----------------------------------------
-
-    def _submit(self, chunk: Chunk, attempt: int, now: float) -> None:
-        result = self.pool.apply_async(
-            run_worker_chunk, (chunk, attempt, self.obs_ctx)
-        )
-        deadline = (
-            now + self.policy.timeout
-            if self.policy.timeout is not None
-            else None
-        )
-        self.pending[chunk.index] = _Pending(chunk, attempt, result, deadline)
-
-    def _complete(self, index: int, value: ChunkResult) -> None:
-        if index in self.done:
-            return                      # late duplicate from a raced retry
-        self.done[index] = value
-        self.on_complete(value)
-
-    def _failed(self, chunk: Chunk, attempt: int, cause: Exception) -> None:
-        next_attempt = attempt + 1
-        if next_attempt > self.policy.retries:
-            if self.policy.fallback:
-                self.fallback[chunk.index] = chunk
-                return
-            if isinstance(cause, PartitionError):
-                raise cause
-            raise PartitionError(
-                f"chunk {chunk.index} failed after {next_attempt} attempts: "
-                f"{type(cause).__name__}: {cause}"
-            ) from cause
-        delay = self.policy.delay(chunk.index, next_attempt)
-        self.stats.retries += 1
-        if OBS.enabled:
-            OBS.inc("explore.retries")
+    def observe_delay(kind: str, delay: float) -> None:
+        if kind == "requeued" and OBS.enabled:
             OBS.observe("explore.retry_delay_seconds", delay)
-        self.waiting.append((time.monotonic() + delay, chunk, next_attempt))
 
-    def _record_error(self, index: int, error: WorkerError) -> None:
-        self.errors.setdefault(index, error)
-
-    # -- the loop ------------------------------------------------------
-
-    def run(self) -> Dict[int, ChunkResult]:
-        self._spawn_pool()
-        try:
-            self._loop()
-        finally:
-            self._terminate_pool()
-        self._run_fallbacks()
-        if self.errors:
-            raise self.errors[min(self.errors)]
-        return self.done
-
-    def _loop(self) -> None:
-        policy = self.policy
-        while True:
-            now = time.monotonic()
-            min_err = min(self.errors) if self.errors else math.inf
-            # an error means the sweep will raise: retrying chunks past
-            # the failing index cannot change the surfaced message
-            self.waiting = [
-                entry for entry in self.waiting if entry[1].index < min_err
-            ]
-            progressed = self._submit_ready(now)
-            progressed |= self._poll_pending(now)
-            if self._pool_is_sick():
-                self._handle_pool_crash()
-                progressed = True
-            if not self.waiting and not self.pending:
-                return
-            if not progressed:
-                time.sleep(policy.poll_interval)
-
-    def _submit_ready(self, now: float) -> bool:
-        if self.pool is None:
-            return False
-        progressed = False
-        deferred: List[Tuple[float, Chunk, int]] = []
-        for ready, chunk, attempt in self.waiting:
-            if ready <= now and chunk.index not in self.done:
-                self._submit(chunk, attempt, now)
-                progressed = True
-            elif chunk.index not in self.done:
-                deferred.append((ready, chunk, attempt))
-        self.waiting = deferred
-        return progressed
-
-    def _poll_pending(self, now: float) -> bool:
-        progressed = False
-        for index in list(self.pending):
-            entry = self.pending[index]
-            if entry.result.ready():
-                del self.pending[index]
-                progressed = True
-                try:
-                    value = entry.result.get()
-                except WorkerError as exc:
-                    self._record_error(index, exc)
-                    continue
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    # transient: injected fault, transport/pickle error,
-                    # interpreter-level failure inside the worker
-                    self._failed(entry.chunk, entry.attempt, exc)
-                    continue
-                if isinstance(value, ChunkResult):
-                    self._complete(index, value)
-                else:  # pragma: no cover - defensive: poisoned result
-                    self._failed(
-                        entry.chunk,
-                        entry.attempt,
-                        PartitionError(
-                            f"chunk {index} returned "
-                            f"{type(value).__name__!r}, not a ChunkResult"
-                        ),
-                    )
-            elif entry.deadline is not None and now >= entry.deadline:
-                del self.pending[index]
-                progressed = True
-                self.stats.timeouts += 1
-                if OBS.enabled:
-                    OBS.inc("explore.timeouts")
-                self._failed(
-                    entry.chunk,
-                    entry.attempt,
-                    ChunkTimeoutError(
-                        f"chunk {index} exceeded its {self.policy.timeout}s "
-                        f"timeout (attempt {entry.attempt})"
-                    ),
+    ledger = ChunkLedger(todo, policy, on_event=observe_delay)
+    ctx = multiprocessing.get_context()
+    tasks: Dict[int, object] = {}          # chunk index -> AsyncResult
+    respawns = 0
+    pool = None
+    try:
+        while not ledger.settled() and (
+            policy.fallback or ledger.outcome()["exhausted_error"] is None
+        ):
+            if pool is None:
+                pool = ctx.Pool(
+                    workers, initializer=init_worker, initargs=(payload,)
                 )
-        return progressed
+                pids = {proc.pid for proc in list(pool._pool)}
+            progressed = False
+            for state in ledger.ready():
+                ledger.lease(state.chunk.index, _POOL)
+                tasks[state.chunk.index] = pool.apply_async(
+                    run_worker_chunk, (state.chunk, state.attempt, obs_ctx)
+                )
+                progressed = True
+            for index, task in list(tasks.items()):
+                if task.ready():
+                    del tasks[index]
+                    _collect(ledger, index, task, on_complete)
+                    progressed = True
+            for index in ledger.expire():
+                del tasks[index]        # the hung task still holds a worker
+                progressed = True
+            if _pool_died(pool, pids):
+                respawns += 1
+                stats.pool_respawns += 1
+                if OBS.enabled:
+                    OBS.inc("explore.pool_respawns")
+                pool.terminate()
+                pool.join()
+                pool, tasks = None, {}
+                if respawns > MAX_POOL_RESPAWNS:
+                    if not policy.fallback:
+                        raise PoolCrashError(
+                            f"worker pool died {respawns} times (budget "
+                            f"{MAX_POOL_RESPAWNS}); abandoning the pool"
+                        )
+                    break
+                ledger.release_owner(
+                    _POOL,
+                    "PoolCrashError: a worker process died with the chunk "
+                    "in flight",
+                )
+            elif not progressed:
+                time.sleep(POLL_INTERVAL)
+    finally:
+        if pool is not None:
+            pool.terminate()
+            pool.join()
+    finish_sweep(payload, todo, ledger.outcome(), policy, stats, on_complete)
 
-    def _run_fallbacks(self) -> None:
-        """Evaluate retry-exhausted chunks in-process, sequentially.
 
-        Runs after the pool is gone: whatever kept workers from
-        finishing these chunks (crashes, hangs, transport failures)
-        cannot reach the in-process runner, and fault injection only
-        fires inside pool workers — so this path completes unless the
-        candidate itself is invalid, which raises the same
-        :class:`WorkerError` a ``jobs=1`` run would.
-        """
-        if not self.fallback:
-            return
-        from repro.explore.worker import ChunkRunner
+def run_in_process(
+    payload: PlanPayload,
+    chunks: List[Chunk],
+    on_complete,
+    stats: Optional[RecoveryStats] = None,
+) -> None:
+    """Evaluate ``chunks`` on one in-process runner, in index order.
 
-        min_err = min(self.errors) if self.errors else math.inf
-        chunks = sorted(
-            (
-                chunk
-                for index, chunk in self.fallback.items()
-                if index not in self.done and index < min_err
-            ),
-            key=lambda chunk: chunk.index,
-        )
-        if not chunks:
-            return
-        runner = ChunkRunner(self.payload)
-        for chunk in chunks:
-            self.stats.fallbacks += 1
+    The ``jobs=1`` path, and the fallback for chunks a pool or fleet
+    could not finish: with ``stats`` the chunks count as fallbacks
+    (``explore.fallbacks``).  Each chunk runs under the same
+    ``explore.chunk`` span the pool workers emit.  Fault injection
+    never fires here, so this completes unless a candidate itself is
+    invalid — then the lowest failing chunk's :class:`WorkerError`
+    propagates, exactly as a sequential run raises it.
+    """
+    if not chunks:
+        return
+    runner = ChunkRunner(payload)
+    for chunk in sorted(chunks, key=lambda chunk: chunk.index):
+        if stats is None:
+            attributes = {"attempt": 0}
+        else:
+            attributes = {"fallback": True}
+            stats.fallbacks += 1
             if OBS.enabled:
                 OBS.inc("explore.fallbacks")
-            try:
-                # record straight into the coordinator's telemetry (no
-                # capture/absorb round trip — same process)
-                with obs.span(
-                    "explore.chunk",
-                    chunk=chunk.index,
-                    candidates=len(chunk),
-                    worker_pid=os.getpid(),
-                    fallback=True,
-                ):
-                    result = runner.run_chunk(chunk)
-                self._complete(chunk.index, result)
-            except WorkerError as exc:
-                self._record_error(chunk.index, exc)
-                min_err = min(self.errors)
+        with obs.span(
+            "explore.chunk",
+            chunk=chunk.index,
+            candidates=len(chunk),
+            worker_pid=os.getpid(),
+            **attributes,
+        ):
+            result = runner.run_chunk(chunk)
+        on_complete(result)
+
+
+def finish_sweep(
+    payload: PlanPayload,
+    todo: List[Chunk],
+    outcome: Dict,
+    policy: RetryPolicy,
+    stats: RecoveryStats,
+    on_complete,
+) -> None:
+    """End a dispatched sweep from its :meth:`ChunkLedger.outcome`.
+
+    The local pool reads the outcome from its ledger, the fleet client
+    from the coordinator's.  Requeues and timeouts fold into ``stats``
+    and the ``explore.*`` counters.  With ``policy.fallback`` off, an
+    exhausted chunk raises its :class:`PartitionError`; otherwise the
+    leftovers run in-process.  The lowest :class:`WorkerError` is
+    raised last, since a leftover below it fails first in a
+    sequential run.
+    """
+    retries = outcome["stats"]["requeues"]
+    timeouts = outcome["stats"]["timeouts"]
+    stats.retries += retries
+    stats.timeouts += timeouts
+    if OBS.enabled:
+        if retries:
+            OBS.inc("explore.retries", retries)
+        if timeouts:
+            OBS.inc("explore.timeouts", timeouts)
+    if outcome["exhausted_error"] is not None and not policy.fallback:
+        raise PartitionError(outcome["exhausted_error"])
+    leftovers = set(outcome["leftovers"])
+    run_in_process(
+        payload,
+        [chunk for chunk in todo if chunk.index in leftovers],
+        on_complete,
+        stats=stats,
+    )
+    if outcome["error"] is not None:
+        raise WorkerError(outcome["error"]["message"])
 
 
 # ----------------------------------------------------------------------
@@ -556,6 +438,7 @@ def run_plan(
     fresh: List[ChunkResult] = []
 
     def on_complete(result: ChunkResult) -> None:
+        done[result.chunk_index] = result
         fresh.append(result)
         if journal is not None:
             journal.record(result)
@@ -576,41 +459,21 @@ def run_plan(
         if fleet is not None and todo:
             from repro.fleet.client import run_fleet_chunks
 
-            done.update(
-                run_fleet_chunks(
-                    payload,
-                    todo,
-                    fleet=fleet,
-                    policy=policy,
-                    stats=stats,
-                    on_complete=on_complete,
-                    obs_ctx=obs_ctx,
-                )
-            )
-        elif workers <= 1 or not todo:
-            from repro.explore.worker import ChunkRunner
-
-            if todo:
-                runner = ChunkRunner(payload)
-                for chunk in todo:
-                    # same span shape the pool workers emit, so traces
-                    # look alike regardless of --jobs
-                    with obs.span(
-                        "explore.chunk",
-                        chunk=chunk.index,
-                        attempt=0,
-                        candidates=len(chunk),
-                        worker_pid=os.getpid(),
-                    ):
-                        result = runner.run_chunk(chunk)
-                    done[chunk.index] = result
-                    on_complete(result)
-        else:
-            dispatcher = _PoolDispatcher(
-                payload, todo, workers, policy, stats, on_complete,
+            run_fleet_chunks(
+                payload,
+                todo,
+                fleet=fleet,
+                policy=policy,
+                stats=stats,
+                on_complete=on_complete,
                 obs_ctx=obs_ctx,
             )
-            done.update(dispatcher.run())
+        elif workers <= 1 or not todo:
+            run_in_process(payload, todo, on_complete)
+        else:
+            _run_pool(
+                payload, todo, workers, policy, stats, on_complete, obs_ctx
+            )
     finally:
         # KeyboardInterrupt included: the dispatcher's own ``finally``
         # has already terminated the pool; flushing the journal here is

@@ -361,11 +361,8 @@ def run_worker_chunk(
     ``SLIF_FAULTS`` fault for this ``(chunk, attempt)`` fires here,
     before any real work, and only ever inside pool workers.
 
-    When ``obs_ctx.collect`` is set, the worker resets its (possibly
-    fork-inherited) telemetry, records the evaluation under an
-    ``explore.chunk`` span carrying the coordinator's trace id, and
-    ships the captured snapshot back on ``result.obs`` for the
-    coordinator to :func:`~repro.obs.absorb`.
+    When ``obs_ctx.collect`` is set the chunk runs under
+    :func:`run_traced`, shipping this worker's telemetry back.
     """
     import os
 
@@ -378,12 +375,32 @@ def run_worker_chunk(
         raise WorkerError("worker process was not initialized with a payload")
     if obs_ctx is None or not obs_ctx.collect:
         return _RUNNER.run_chunk(chunk)
+    return run_traced(_RUNNER, chunk, attempt, obs_ctx.trace_id)
+
+
+def run_traced(
+    runner: ChunkRunner,
+    chunk: Chunk,
+    attempt: int,
+    trace_id: Optional[str],
+    **attributes: Any,
+) -> ChunkResult:
+    """Evaluate one chunk with telemetry on, shipped back on the result.
+
+    For a process that owns its obs state — a pool worker or a fleet
+    daemon: resets it (dropping anything a pool worker inherited from
+    the coordinator via fork), records the evaluation under an
+    ``explore.chunk`` span carrying the submitter's ``trace_id`` plus
+    ``attributes``, and puts the captured snapshot on ``result.obs``
+    for the submitter to :func:`~repro.obs.absorb`.
+    """
+    import os
 
     from repro import obs
 
-    obs.reset()   # drop anything inherited from the coordinator via fork
+    obs.reset()
     obs.enable()
-    obs.set_trace_id(obs_ctx.trace_id)
+    obs.set_trace_id(trace_id)
     try:
         with obs.span(
             "explore.chunk",
@@ -391,8 +408,9 @@ def run_worker_chunk(
             attempt=attempt,
             candidates=len(chunk),
             worker_pid=os.getpid(),
+            **attributes,
         ):
-            result = _RUNNER.run_chunk(chunk)
+            result = runner.run_chunk(chunk)
         result.worker_pid = os.getpid()
         result.obs = obs.capture()
         return result

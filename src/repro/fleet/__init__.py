@@ -28,9 +28,10 @@ scheduling — no evaluation semantics change.  The moving parts:
 
 Failure model: a worker that misses heartbeats is declared dead and
 its leased chunks are requeued with the policy's seeded backoff;
-results are deduplicated by chunk index (first wins), exactly like the
-in-process pool path, so requeues and late duplicates cannot change
-the merged front.  Routing prefers the worker that consistent hashing
+results are deduplicated by chunk index (first wins) — the
+:class:`~repro.explore.ledger.ChunkLedger` rules the in-process pool
+runs too — so requeues and late duplicates cannot change the merged
+front.  Routing prefers the worker that consistent hashing
 (:class:`~repro.fleet.hashring.HashRing`) assigns to the sweep's
 ``session_key`` — keeping one spec's chunks on one worker's warm
 runner cache — but spills to any idle worker rather than queueing.

@@ -6,11 +6,10 @@ it submits the payload, the todo chunks and the
 :class:`~repro.explore.engine.RetryPolicy` as one sweep, polls the
 coordinator for completed results (feeding each into the engine's
 ``on_complete`` hook as it lands, so ``--checkpoint`` journaling works
-unchanged), and — mirroring the in-process pool's graceful degradation
-— evaluates any chunk the fleet could not finish through a local
-:class:`~repro.explore.worker.ChunkRunner`.  Deterministic candidate
-failures surface as the same lowest-index
-:class:`~repro.errors.WorkerError` a ``--jobs 1`` run raises.
+unchanged), and ends the sweep through the engine's
+:func:`~repro.explore.engine.finish_sweep` — the same fallback,
+``fallback=False`` and :class:`~repro.errors.WorkerError` rules a
+local pool sweep ends with.
 
 Transports carry ``(op, dict) -> dict`` calls: :class:`HttpTransport`
 speaks ``POST /v1/fleet/<op>`` to a ``slif serve`` coordinator with a
@@ -23,15 +22,13 @@ bytes the HTTP path would.
 from __future__ import annotations
 
 import json
-import os
 import time
 import urllib.error
 import urllib.request
 from typing import Any, Callable, Dict, List, Optional
 
-from repro import obs
-from repro.errors import FleetError, WorkerError
-from repro.explore.engine import RecoveryStats, RetryPolicy
+from repro.errors import FleetError
+from repro.explore.engine import RecoveryStats, RetryPolicy, finish_sweep
 from repro.explore.plan import Chunk
 from repro.explore.worker import ChunkResult, ObsContext, PlanPayload
 from repro.fleet.protocol import (
@@ -41,7 +38,6 @@ from repro.fleet.protocol import (
     policy_to_wire,
     result_from_wire,
 )
-from repro.obs import OBS
 
 
 class HttpTransport:
@@ -139,13 +135,14 @@ def run_fleet_chunks(
 ) -> Dict[int, ChunkResult]:
     """Evaluate ``todo`` through a fleet; returns results by chunk index.
 
-    The contract matches the in-process dispatcher exactly: every todo
-    chunk either completes (fleet-side, or through the local fallback
-    runner once the coordinator reports it exhausted or the fleet has
-    no live workers for ``fleet.idle_timeout`` seconds) or the sweep
-    raises the lowest failing chunk's :class:`WorkerError`.  Requeues
-    and timeouts the coordinator performed on our behalf are folded
-    into ``stats`` so the recovery summary covers the whole fleet.
+    The contract matches the local pool exactly: every todo chunk
+    either completes (fleet-side, or in-process once the coordinator
+    reports it exhausted or the fleet has had no live workers for
+    ``fleet.idle_timeout`` seconds), or the sweep raises — the lowest
+    failing chunk's :class:`WorkerError`, or with ``policy.fallback``
+    off the :class:`PartitionError` of the first exhausted chunk.
+    Requeues and timeouts the coordinator performed on our behalf are
+    folded into ``stats`` and the ``explore.*`` counters.
     """
     transport = _transport_for(fleet)
     submitted = transport.call(
@@ -161,33 +158,28 @@ def run_fleet_chunks(
     )
     sweep_id = submitted["sweep_id"]
     done: Dict[int, ChunkResult] = {}
-    exhausted: set = set()
-    error: Optional[Dict[str, Any]] = None
-    take_over = False
+
+    def complete(result: ChunkResult) -> None:
+        done[result.chunk_index] = result
+        on_complete(result)
+
     idle_since: Optional[float] = None
-    sweep_stats = {"requeues": 0, "timeouts": 0, "workers_lost": 0}
     try:
         while True:
             response = transport.call("collect", {"sweep_id": sweep_id})
-            for wire in response.get("results", ()):
-                result = result_from_wire(wire)
-                if result.chunk_index not in done:
-                    done[result.chunk_index] = result
-                    on_complete(result)
-            exhausted.update(response.get("exhausted", ()))
-            if response.get("error") is not None:
-                error = response["error"]
-            sweep_stats = response.get("stats", sweep_stats)
-            if response.get("complete"):
+            for wire in response["results"]:
+                complete(result_from_wire(wire))
+            if response["complete"] or (
+                response["exhausted_error"] is not None and not policy.fallback
+            ):
                 break
-            if response.get("workers_alive", 0) > 0 or not policy.fallback:
+            if response["workers_alive"] > 0 or not policy.fallback:
                 idle_since = None
             else:
                 now = time.monotonic()
                 idle_since = idle_since if idle_since is not None else now
                 if now - idle_since > fleet.idle_timeout:
                     # the whole fleet is gone; finish the sweep locally
-                    take_over = True
                     break
             time.sleep(fleet.poll_seconds)
     finally:
@@ -195,73 +187,5 @@ def run_fleet_chunks(
             transport.call("cancel", {"sweep_id": sweep_id})
         except FleetError:  # pragma: no cover - cleanup is best-effort
             pass
-    stats.retries += int(sweep_stats.get("requeues", 0))
-    stats.timeouts += int(sweep_stats.get("timeouts", 0))
-    error = _run_local_fallbacks(
-        payload, todo, done, exhausted, error, take_over, stats, on_complete
-    )
-    if error is not None:
-        raise WorkerError(str(error.get("message", "fleet worker error")))
+    finish_sweep(payload, todo, response, policy, stats, complete)
     return done
-
-
-def _run_local_fallbacks(
-    payload: PlanPayload,
-    todo: List[Chunk],
-    done: Dict[int, ChunkResult],
-    exhausted: set,
-    error: Optional[Dict[str, Any]],
-    take_over: bool,
-    stats: RecoveryStats,
-    on_complete: Callable[[ChunkResult], None],
-) -> Optional[Dict[str, Any]]:
-    """In-process completion of whatever the fleet left behind.
-
-    Mirrors the pool dispatcher's ``_run_fallbacks``: only chunks below
-    the lowest failing index run (the sweep will raise anyway, and a
-    sequential run would never have reached past the error), results
-    feed ``done`` directly, and a fallback's own :class:`WorkerError`
-    replaces the surfaced error when it has a lower chunk index.
-    Returns the (possibly updated) lowest-index error.
-    """
-    import math
-
-    min_err = error["chunk_index"] if error is not None else math.inf
-    chunks = sorted(
-        (
-            chunk
-            for chunk in todo
-            if chunk.index not in done
-            and chunk.index < min_err
-            and (take_over or chunk.index in exhausted)
-        ),
-        key=lambda chunk: chunk.index,
-    )
-    if not chunks:
-        return error
-    from repro.explore.worker import ChunkRunner
-
-    runner = ChunkRunner(payload)
-    for chunk in chunks:
-        if chunk.index >= min_err:
-            break
-        stats.fallbacks += 1
-        if OBS.enabled:
-            OBS.inc("explore.fallbacks")
-        try:
-            with obs.span(
-                "explore.chunk",
-                chunk=chunk.index,
-                candidates=len(chunk),
-                worker_pid=os.getpid(),
-                fallback=True,
-            ):
-                result = runner.run_chunk(chunk)
-        except WorkerError as exc:
-            # keep the lowest-index error, like the engine's errors dict
-            error = {"chunk_index": chunk.index, "message": str(exc)}
-            min_err = chunk.index
-            continue
-        done[chunk.index] = result
-        on_complete(result)
-    return error

@@ -10,29 +10,24 @@ testable without sockets.
 
 Scheduling model (pull-based):
 
+* Each sweep's chunks live in a :class:`~repro.explore.ledger.
+  ChunkLedger`, the same lifecycle the local pool drives: seeded
+  backoff requeues, lease timeouts, first-wins results, and pruning
+  past the lowest :class:`~repro.errors.WorkerError`.  This module
+  adds what only a fleet has: workers, their liveness, and routing.
 * Workers :func:`register <FleetCoordinator>`, then heartbeat on the
   interval the coordinator dictates; a worker silent for
   ``heartbeat_timeout`` seconds is declared dead, removed from the
-  consistent-hash ring, and every chunk it was leasing is requeued
-  with the sweep's :class:`~repro.explore.engine.RetryPolicy` backoff
-  — the same seeded ``delay(chunk, attempt)`` the in-process pool
-  uses, so recovery pacing is deterministic.
+  consistent-hash ring, and its leases are requeued in every sweep.
 * ``pull`` leases at most one ready chunk per call.  Routing prefers a
   chunk whose sweep's ``session_key`` hashes to the pulling worker
   (``fleet.route.affinity``) — keeping a spec's chunks on one warm
   runner cache — but hands out any ready chunk otherwise
   (``fleet.route.spill``): an idle worker is never left idle for the
   sake of affinity.
-* Results are deduplicated by chunk index, first submission wins —
-  a dead worker's chunk that both its requeue *and* a late original
-  submission complete counts once, which is what keeps fleet fronts
-  byte-identical to ``--jobs 1``.
-* A deterministic candidate failure (:class:`~repro.errors.
-  WorkerError`) is never requeued; chunks past the lowest failing
-  index are pruned, matching the sequential engine's surfacing order.
-  A chunk whose transient-failure retry budget is exhausted is
-  reported to the collecting client, which falls back to evaluating
-  it in-process — graceful degradation, fleet edition.
+* ``collect`` hands the sweep's client new results, the lowest
+  failure, and the ledger's leftovers — what the client runs
+  in-process once the sweep settles or the fleet disappears.
 
 Telemetry: an always-on private registry (independent of the global
 obs switch, like the serve layer's RED metrics) records the
@@ -42,18 +37,17 @@ expose as ``slif_fleet_*``.
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import FleetError
-from repro.explore.engine import RetryPolicy
-from repro.explore.plan import Chunk
+from repro.explore.ledger import ChunkLedger, ChunkState
 from repro.fleet.hashring import HashRing
 from repro.fleet.protocol import (
     chunk_from_wire,
+    chunk_to_wire,
     payload_fingerprint,
     policy_from_wire,
 )
@@ -72,30 +66,13 @@ class FleetConfig:
 
 @dataclass
 class WorkerInfo:
-    """One registered worker's liveness and lease bookkeeping."""
+    """One registered worker's liveness bookkeeping."""
 
     worker_id: str
     pid: int = 0
     host: str = ""
     last_seen: float = 0.0
-    leases: int = 0
     chunks_done: int = 0
-
-
-# chunk lifecycle: pending -> leased -> done | error | exhausted | pruned
-_TERMINAL = ("done", "error", "exhausted", "pruned")
-
-
-@dataclass
-class _ChunkState:
-    chunk: Chunk
-    status: str = "pending"
-    attempt: int = 0
-    ready_at: float = 0.0
-    worker_id: Optional[str] = None
-    leased_at: float = 0.0
-    result: Optional[Dict[str, Any]] = None       # wire form, verbatim
-    error: Optional[str] = None
 
 
 @dataclass
@@ -104,24 +81,15 @@ class _Sweep:
     payload: Dict[str, Any]                       # wire form, verbatim
     fingerprint: str
     session_key: str
-    policy: RetryPolicy
     collect: bool
     trace_id: Optional[str]
-    chunks: Dict[int, _ChunkState]
+    ledger: ChunkLedger                           # results in wire form
     delivered: set = field(default_factory=set)   # chunk indexes collected
     reported_exhausted: set = field(default_factory=set)
-    requeues: int = 0
-    timeouts: int = 0
-    workers_lost: int = 0
 
-    def min_error(self) -> float:
-        errors = [
-            i for i, s in self.chunks.items() if s.status == "error"
-        ]
-        return min(errors) if errors else math.inf
-
-    def complete(self) -> bool:
-        return all(s.status in _TERMINAL for s in self.chunks.values())
+    @property
+    def chunks(self) -> Dict[int, ChunkState]:
+        return self.ledger.chunks
 
 
 class FleetCoordinator:
@@ -177,7 +145,11 @@ class FleetCoordinator:
     # -- liveness ------------------------------------------------------
 
     def _reap(self, now: float) -> None:
-        """Declare silent workers dead and requeue their leases."""
+        """Declare silent workers dead; requeue their and expired leases.
+
+        Lease expiry is the policy's compute budget, enforced here
+        because a hung worker still heartbeats.
+        """
         dead = [
             info.worker_id
             for info in self.workers.values()
@@ -188,57 +160,22 @@ class FleetCoordinator:
             self.ring.remove(worker_id)
             self.registry.inc("fleet.workers.lost")
             for sweep in self.sweeps.values():
-                for state in sweep.chunks.values():
-                    if state.status == "leased" and state.worker_id == worker_id:
-                        sweep.workers_lost += 1
-                        self._requeue(sweep, state, now)
-        # per-chunk lease timeout: the policy's compute budget, enforced
-        # coordinator-side since a hung worker still heartbeats
+                sweep.ledger.release_owner(
+                    worker_id, f"FleetError: worker {worker_id} was lost"
+                )
         for sweep in self.sweeps.values():
-            timeout = sweep.policy.timeout
-            if timeout is None:
-                continue
-            for state in sweep.chunks.values():
-                if state.status == "leased" and now - state.leased_at > timeout:
-                    sweep.timeouts += 1
-                    self._release_lease(state)
-                    self._requeue(sweep, state, now)
+            sweep.ledger.expire()
         self._set_gauges()
 
     def _set_gauges(self) -> None:
         self.registry.set_gauge("fleet.workers.alive", len(self.workers))
         self.registry.set_gauge(
             "fleet.sweeps.active",
-            sum(1 for s in self.sweeps.values() if not s.complete()),
+            sum(1 for s in self.sweeps.values() if not s.ledger.settled()),
         )
 
-    def _release_lease(self, state: _ChunkState) -> None:
-        if state.worker_id in self.workers:
-            self.workers[state.worker_id].leases -= 1
-        state.worker_id = None
-
-    def _requeue(self, sweep: _Sweep, state: _ChunkState, now: float) -> None:
-        """Put a failed/abandoned lease back in line, or exhaust it."""
-        state.worker_id = None
-        next_attempt = state.attempt + 1
-        if next_attempt > sweep.policy.retries:
-            state.status = "exhausted"
-            self.registry.inc("fleet.chunks.exhausted")
-            return
-        state.attempt = next_attempt
-        state.status = "pending"
-        state.ready_at = now + sweep.policy.delay(
-            state.chunk.index, next_attempt
-        )
-        sweep.requeues += 1
-        self.registry.inc("fleet.chunks.requeued")
-
-    def _prune_past_error(self, sweep: _Sweep) -> None:
-        """Stop leasing chunks past the lowest failing index."""
-        min_err = sweep.min_error()
-        for state in sweep.chunks.values():
-            if state.status == "pending" and state.chunk.index > min_err:
-                state.status = "pruned"
+    def _count_event(self, kind: str, delay: float) -> None:
+        self.registry.inc(f"fleet.chunks.{kind}")
 
     # -- worker-facing operations --------------------------------------
 
@@ -280,42 +217,24 @@ class FleetCoordinator:
 
     def _op_pull(self, data: Dict[str, Any]) -> Dict[str, Any]:
         info = self._require_worker(data)
-        now = self.clock()
-        affinity_pick = None
-        spill_pick = None
+        pick = None
+        route = "spill"
         for sweep_id in sorted(self.sweeps):      # submission order (s0001..)
             sweep = self.sweeps[sweep_id]
-            min_err = sweep.min_error()
-            preferred = self.ring.lookup(sweep.session_key)
-            for index in sorted(sweep.chunks):
-                state = sweep.chunks[index]
-                if (
-                    state.status != "pending"
-                    or state.ready_at > now
-                    or index > min_err
-                ):
-                    continue
-                if preferred == info.worker_id:
-                    affinity_pick = (sweep, state)
-                    break
-                if spill_pick is None:
-                    spill_pick = (sweep, state)
-            if affinity_pick:
+            ready = sweep.ledger.ready()
+            if not ready:
+                continue
+            if self.ring.lookup(sweep.session_key) == info.worker_id:
+                pick, route = (sweep, ready[0]), "affinity"
                 break
-        pick = affinity_pick or spill_pick
+            if pick is None:
+                pick = (sweep, ready[0])
         if pick is None:
             return {"lease": None, "retry_in": self.config.pull_retry_hint}
         sweep, state = pick
-        self.registry.inc(
-            "fleet.route.affinity" if affinity_pick else "fleet.route.spill"
-        )
-        state.status = "leased"
-        state.worker_id = info.worker_id
-        state.leased_at = now
-        info.leases += 1
+        self.registry.inc(f"fleet.route.{route}")
+        sweep.ledger.lease(state.chunk.index, info.worker_id)
         self.registry.inc("fleet.chunks.dispatched")
-        from repro.fleet.protocol import chunk_to_wire
-
         return {
             "lease": {
                 "sweep_id": sweep.sweep_id,
@@ -335,45 +254,45 @@ class FleetCoordinator:
 
     def _op_result(self, data: Dict[str, Any]) -> Dict[str, Any]:
         worker_id = data["worker_id"]
-        if worker_id in self.workers:
-            info = self.workers[worker_id]
+        info = self.workers.get(worker_id)
+        if info is not None:
             info.last_seen = self.clock()
         sweep = self.sweeps.get(data["sweep_id"])
         if sweep is None:
             # cancelled/collected sweep: nothing to do with the result
             return {"ok": False, "reason": "unknown-sweep"}
-        state = sweep.chunks.get(int(data["chunk_index"]))
+        index = int(data["chunk_index"])
+        state = sweep.chunks.get(index)
         if state is None:
             raise FleetError(
                 f"sweep {sweep.sweep_id} has no chunk {data['chunk_index']}"
             )
-        if state.status == "done":
-            self.registry.inc("fleet.chunks.duplicates")
-            return {"ok": True, "duplicate": True}
-        if state.status in ("error", "pruned"):
-            # a late submission for a chunk the sweep already wrote off;
-            # accepting it could silently un-prune past a surfaced error
-            self.registry.inc("fleet.chunks.duplicates")
-            return {"ok": True, "duplicate": True}
-        if state.worker_id == worker_id:
-            self._release_lease(state)
-            if worker_id in self.workers:
-                self.workers[worker_id].chunks_done += 1
+        if info is not None and state.owner == worker_id:
+            info.chunks_done += 1
         error = data.get("error")
-        if error is not None:
-            if error.get("worker_error"):
-                # deterministic candidate failure: retrying cannot help
-                state.status = "error"
-                state.error = str(error.get("message", "worker error"))
-                self.registry.inc("fleet.chunks.errors")
-                self._prune_past_error(sweep)
-            else:
-                self._requeue(sweep, state, self.clock())
-            self._set_gauges()
-            return {"ok": True}
-        state.status = "done"
-        state.result = data["result"]
-        self.registry.inc("fleet.chunks.completed")
+        if error is None:
+            accepted = sweep.ledger.complete(index, data["result"])
+            counter = "fleet.chunks.completed"
+        elif error.get("worker_error"):
+            # deterministic candidate failure: retrying cannot help
+            accepted = sweep.ledger.error(
+                index, str(error.get("message", "worker error"))
+            )
+            counter = "fleet.chunks.errors"
+        else:
+            accepted = sweep.ledger.fail(
+                index,
+                str(error.get("message", "worker failure")),
+                attempt=data.get("attempt"),
+            )
+            counter = None
+        if not accepted:
+            # a late submission for a chunk the sweep already finished
+            # or wrote off; accepting it could un-prune past an error
+            self.registry.inc("fleet.chunks.duplicates")
+            return {"ok": True, "duplicate": True}
+        if counter is not None:
+            self.registry.inc(counter)
         self._set_gauges()
         return {"ok": True}
 
@@ -391,10 +310,14 @@ class FleetCoordinator:
             payload=payload,
             fingerprint=payload_fingerprint(payload),
             session_key=str(data.get("session_key", "")),
-            policy=policy_from_wire(data.get("policy")),
             collect=bool(data.get("collect", False)),
             trace_id=data.get("trace_id"),
-            chunks={chunk.index: _ChunkState(chunk) for chunk in chunks},
+            ledger=ChunkLedger(
+                chunks,
+                policy_from_wire(data.get("policy")),
+                clock=self.clock,
+                on_event=self._count_event,
+            ),
         )
         self.sweeps[sweep_id] = sweep
         self.registry.inc("fleet.sweeps.submitted")
@@ -419,34 +342,19 @@ class FleetCoordinator:
             and index not in sweep.reported_exhausted
         )
         sweep.reported_exhausted.update(exhausted)
-        error = None
-        min_err = sweep.min_error()
-        if min_err is not math.inf:
-            error = {
-                "chunk_index": int(min_err),
-                "message": sweep.chunks[int(min_err)].error,
-            }
         return {
             "results": results,
             "exhausted": exhausted,
-            "error": error,
-            "complete": sweep.complete(),
+            "complete": sweep.ledger.settled(),
             "workers_alive": len(self.workers),
-            "stats": {
-                "requeues": sweep.requeues,
-                "timeouts": sweep.timeouts,
-                "workers_lost": sweep.workers_lost,
-            },
+            **sweep.ledger.outcome(),
         }
 
     def _op_cancel(self, data: Dict[str, Any]) -> Dict[str, Any]:
         sweep = self.sweeps.pop(data["sweep_id"], None)
         if sweep is None:
             return {"ok": False, "reason": "unknown-sweep"}
-        for state in sweep.chunks.values():
-            if state.status == "leased":
-                self._release_lease(state)
-        if sweep.complete():
+        if sweep.ledger.settled():
             self.registry.inc("fleet.sweeps.completed")
         else:
             self.registry.inc("fleet.sweeps.cancelled")
@@ -465,7 +373,7 @@ class FleetCoordinator:
                     "pid": info.pid,
                     "host": info.host,
                     "last_seen_age": round(now - info.last_seen, 3),
-                    "leases": info.leases,
+                    "leases": self._leases(info.worker_id),
                     "chunks_done": info.chunks_done,
                 }
                 for _, info in sorted(self.workers.items())
@@ -476,13 +384,21 @@ class FleetCoordinator:
                     "session_key": sweep.session_key,
                     "chunks": len(sweep.chunks),
                     "by_status": self._by_status(sweep),
-                    "complete": sweep.complete(),
+                    "complete": sweep.ledger.settled(),
                 }
                 for _, sweep in sorted(self.sweeps.items())
             ],
             "heartbeat_interval": self.config.heartbeat_interval,
             "heartbeat_timeout": self.config.heartbeat_timeout,
         }
+
+    def _leases(self, worker_id: str) -> int:
+        return sum(
+            1
+            for sweep in self.sweeps.values()
+            for state in sweep.chunks.values()
+            if state.status == "leased" and state.owner == worker_id
+        )
 
     @staticmethod
     def _by_status(sweep: _Sweep) -> Dict[str, int]:
@@ -499,7 +415,7 @@ class FleetCoordinator:
             return {
                 "workers_alive": len(self.workers),
                 "sweeps_active": sum(
-                    1 for s in self.sweeps.values() if not s.complete()
+                    1 for s in self.sweeps.values() if not s.ledger.settled()
                 ),
                 "counters": snapshot["counters"],
             }

@@ -9,14 +9,15 @@ sweep after the first reuses the worker's already-built graph and warm
 memoized estimators — the cache the coordinator's consistent-hash
 routing is keeping hot.
 
-Telemetry mirrors the pool path chunk for chunk: when the sweep asked
-for collection, the worker records an ``explore.chunk`` span (chunk,
-attempt, candidates, pid, worker id) under the submitting command's
-trace id and ships a :func:`repro.obs.capture` snapshot on the result,
-which the sweep side absorbs — so ``--stats`` after a distributed run
-reflects every box in the fleet.  In-process workers (threads in
-tests) record into a private registry/tracer instead of resetting the
-process-global one out from under the host.
+Telemetry is the pool worker's own: when the sweep asked for
+collection, the daemon evaluates through
+:func:`~repro.explore.worker.run_traced` — an ``explore.chunk`` span
+(chunk, attempt, candidates, pid, worker id) under the submitting
+command's trace id and a :func:`repro.obs.capture` snapshot on the
+result, which the sweep side absorbs — so ``--stats`` after a
+distributed run reflects every box in the fleet.  In-process workers
+(threads in tests) record into a private registry/tracer instead of
+resetting the process-global one out from under the host.
 
 Fault injection: the worker calls
 :func:`repro.faults.maybe_inject` with the leased ``(chunk, attempt)``
@@ -45,9 +46,8 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 
-from repro import obs
 from repro.errors import FleetError, SlifError, WorkerError
-from repro.explore.worker import ChunkResult, ChunkRunner
+from repro.explore.worker import ChunkResult, ChunkRunner, run_traced
 from repro.fleet.protocol import chunk_from_wire, payload_from_wire
 from repro.obs import Registry, Tracer
 
@@ -212,32 +212,23 @@ class FleetWorker:
         """Run one chunk with the same telemetry dance as a pool worker."""
         if not lease.get("collect"):
             return runner.run_chunk(chunk)
-        attributes = dict(
+        if self.isolate_obs:
+            return run_traced(
+                runner, chunk, attempt, lease.get("trace_id"),
+                worker=self.worker_id,
+            )
+        # in-process worker: private collectors, host telemetry untouched
+        registry = Registry(enabled=True)
+        tracer = Tracer(registry=registry)
+        tracer.set_trace_id(lease.get("trace_id"))
+        with tracer.span(
+            "explore.chunk",
             chunk=chunk.index,
             attempt=attempt,
             candidates=len(chunk),
             worker_pid=os.getpid(),
             worker=self.worker_id,
-        )
-        if self.isolate_obs:
-            obs.reset()
-            obs.enable()
-            obs.set_trace_id(lease.get("trace_id"))
-            try:
-                with obs.span("explore.chunk", **attributes):
-                    result = runner.run_chunk(chunk)
-                result.worker_pid = os.getpid()
-                result.obs = obs.capture()
-                return result
-            finally:
-                obs.set_trace_id(None)
-                obs.reset()
-                obs.disable()
-        # in-process worker: private collectors, host telemetry untouched
-        registry = Registry(enabled=True)
-        tracer = Tracer(registry=registry)
-        tracer.set_trace_id(lease.get("trace_id"))
-        with tracer.span("explore.chunk", **attributes):
+        ):
             result = runner.run_chunk(chunk)
         registry.inc("explore.worker.chunks")
         registry.inc("explore.worker.candidates", result.candidates)

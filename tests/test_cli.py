@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.api.frontends import FRONTENDS
 from repro.cli import main
 
 
@@ -305,3 +306,75 @@ class TestObsSubcommand:
         bad.write_text("{not json\n")
         assert main(["obs", "slow", str(bad)]) == 2
         assert "not a JSONL trace export" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# every graph-taking subcommand accepts every registered front end
+
+TINY_VHDL = """entity T is port ( a : in integer ); end;
+Main: process
+    variable v : integer;
+begin
+    v := a;
+    wait;
+end process;"""
+
+GRAPH_COMMANDS = [
+    ["build"],
+    ["stats"],
+    ["check"],
+    ["dot"],
+    ["transform"],
+    ["estimate"],
+    ["breakdown"],
+    ["simulate"],
+    ["partition", "--algorithm", "greedy"],
+    ["explore", "--steps", "2", "--random-starts", "1"],
+]
+
+
+def frontend_spec(name, tmp_path):
+    """A spec argument that resolves through front end ``name``."""
+    from repro.synth.gen import GenConfig, generate_text
+
+    if name == "benchmark":
+        return "vol"
+    if name == "synth":
+        path = tmp_path / "g.json"
+        text = generate_text(GenConfig(behaviors=20))
+    elif name == "vhdl":
+        path, text = tmp_path / "tiny.vhd", TINY_VHDL
+    else:
+        raise AssertionError(f"no sample spec for front end {name!r}")
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("frontend", FRONTENDS.names())
+@pytest.mark.parametrize("command", GRAPH_COMMANDS, ids=lambda c: c[0])
+def test_graph_commands_accept_every_frontend(
+    command, frontend, tmp_path, capsys
+):
+    spec = frontend_spec(frontend, tmp_path)
+    assert FRONTENDS.resolve(spec).frontend == frontend
+    assert main([command[0], spec] + command[1:]) == 0, (
+        capsys.readouterr().err
+    )
+
+
+@pytest.mark.parametrize("flag", [
+    ["--granularity", "basic_block"], ["--profile", "p.prof"],
+])
+def test_vhdl_only_flags_are_refused_for_other_frontends(
+    flag, tmp_path, capsys
+):
+    spec = frontend_spec("synth", tmp_path)
+    assert main(["build", spec] + flag) == 2
+    assert "'synth' spec" in capsys.readouterr().err
+
+
+def test_stats_compares_formats_only_for_vhdl(tmp_path, capsys):
+    assert main(["stats", frontend_spec("synth", tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "bv: 25" in out
+    assert "cdfg" not in out

@@ -1,9 +1,4 @@
-"""Integration tests for the high-level build_system pipeline.
-
-``build_system`` lives in :mod:`repro.api` since the facade redesign;
-the old ``repro.system`` import path is covered by
-``tests/api/test_deprecations.py``.
-"""
+"""Integration tests for the high-level build_system pipeline."""
 
 import pytest
 
@@ -106,3 +101,16 @@ def test_every_benchmark_estimates_quickly(name):
     elapsed = time.perf_counter() - started
     assert report.system_time > 0
     assert elapsed < 0.1
+
+
+def test_top_level_reexport_does_not_warn():
+    import warnings
+
+    from repro import api
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        from repro import DesignSystem, build_system as top_level_build
+
+    assert DesignSystem is api.DesignSystem
+    assert top_level_build is api.build_system
